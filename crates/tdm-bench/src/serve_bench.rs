@@ -13,17 +13,18 @@
 //! artifact (`BENCH_serve.json`). Every response is checked bit-identical to
 //! a serial `Miner::mine` of the same request before it counts.
 //!
-//! Two further scenarios ride along:
+//! Further scenarios ride along:
 //!
 //! * **co-mining** ([`CoMinePoint`]) — K clients with distinct configs burst
 //!   against *one* database, once with cross-request co-mining disabled and
 //!   once fused into a single batch; the `comine_vs_solo_scan_ratio`
-//!   headline (solo wall / fused wall) goes top-level in the JSON.
+//!   headline (solo wall / fused wall, each the best of five fresh-service
+//!   trials) goes top-level in the JSON.
 //! * **saturated gate** ([`SaturatedPoint`]) — the same burst pushed through
 //!   a one-slot admission gate, serialized vs waiting-room-fused; the
-//!   `saturated_fuse_vs_serial` headline (serial wall / fused wall) goes
-//!   top-level in the JSON, and the repeat round demonstrates `CoSession`
-//!   cache reuse (`co_cache_hits`).
+//!   `saturated_fuse_vs_serial` headline (serial wall / fused wall, best of
+//!   five trials each) goes top-level in the JSON, and the repeat round
+//!   demonstrates `CoSession` cache reuse (`co_cache_hits`).
 //! * **open loop** ([`run_open_loop`], `reproduce --serve-open-loop`) —
 //!   arrivals follow a deterministic Poisson-like schedule at a target rate,
 //!   so admission-gate queueing delay is reported separately from service
@@ -44,16 +45,21 @@
 //!   JSON: `socket_qps_16_clients_vs_1` (socket-path scaling, the network
 //!   twin of `qps_16_clients_vs_1`) and `socket_vs_inprocess_overhead`
 //!   (in-process QPS over socket QPS at 1 client — what the wire costs).
+//! * **served executor** ([`ServedExecutorPoint`]) — the same in-process
+//!   requests on the service's default executor and on the compiled sharded
+//!   scan through `submit_with`; the `served_auto_vs_sharded` headline
+//!   (sharded wall / default wall) goes top-level in the JSON.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use tdm_baselines::ShardedScanBackend;
 use tdm_core::engine::{CompiledCandidates, CountScratch};
 use tdm_core::miner::{Miner, MinerConfig, SequentialBackend};
 use tdm_core::stats::MiningResult;
 use tdm_core::{Alphabet, Episode, EventDb, StreamingSession};
 use tdm_mapreduce::pool::default_workers;
-use tdm_serve::{BackendChoice, MiningRequest, MiningService, ServiceConfig};
+use tdm_serve::{MiningRequest, MiningService, ServiceConfig};
 use tdm_server::client::mine_request;
 use tdm_server::json::Value;
 use tdm_server::{wire, Client, Server, ServerConfig, TenantConfig};
@@ -128,16 +134,16 @@ pub struct LoadPoint {
 pub struct CoMinePoint {
     /// Concurrent same-database clients (each with a distinct config).
     pub clients: usize,
-    /// Wall time of the solo burst, seconds.
+    /// Wall time of the solo burst (best of the trials), seconds.
     pub solo_wall_s: f64,
-    /// Wall time of the fused burst, seconds.
+    /// Wall time of the fused burst (best of the trials), seconds.
     pub fused_wall_s: f64,
     /// The headline: solo wall time over fused wall time (> 1 = co-mining
     /// paid off; ~K is the ideal on a scan-bound workload).
     pub ratio: f64,
-    /// Fused batches the co-mining service formed.
+    /// Fused batches the last trial's co-mining service formed.
     pub batches: u64,
-    /// Requests served from a fused scan.
+    /// Requests the last trial served from a fused scan.
     pub fused_requests: u64,
 }
 
@@ -155,22 +161,27 @@ pub struct SaturatedPoint {
     /// Bursts run against each service (the ones after the first hit warm
     /// caches).
     pub rounds: usize,
-    /// Wall time of all serialized-solo bursts, seconds.
+    /// Wall time of all serialized-solo bursts (best of the trials),
+    /// seconds.
     pub serial_wall_s: f64,
-    /// Wall time of all fused bursts, seconds.
+    /// Wall time of all fused bursts (best of the trials), seconds.
     pub fused_wall_s: f64,
     /// The headline: serial wall over fused wall at `max_in_flight = 1`
     /// (> 1 = the saturated gate admits fused batches instead of K
     /// serialized runs).
     pub ratio: f64,
-    /// Fused batches the co-mining service formed.
+    /// Fused batches the last trial's co-mining service formed.
     pub batches: u64,
-    /// Requests served from a fused scan.
+    /// Requests the last trial served from a fused scan.
     pub fused_requests: u64,
-    /// Co-session-cache hits — rounds after the first reuse the parked
-    /// `CoSession` of the same (db, config-set) bundle.
+    /// The last trial's co-session-cache hits — rounds after the first
+    /// reuse the parked `CoSession` of the same (db, config-set) bundle.
     pub co_cache_hits: u64,
 }
+
+/// Fresh service pairs each fusion scenario runs; each side reports its best
+/// trial.
+const TRIALS: usize = 5;
 
 /// Runs the overload-first scenario (see [`SaturatedPoint`]). Same stepped
 /// configs and serial ground truth discipline as [`run_comine`], but both
@@ -214,20 +225,27 @@ fn run_saturated(cfg: &ServeBenchConfig, db: &Arc<EventDb>) -> SaturatedPoint {
         }))
     };
 
-    let serial_svc = service_of(Duration::ZERO);
-    let mut serial_wall_s = 0.0;
-    for _ in 0..rounds {
-        serial_wall_s += comine_burst(&serial_svc, &requests, &serial, false);
-    }
+    // Best of TRIALS fresh service pairs per side: a whole scenario is a few
+    // milliseconds, so one scheduler hiccup would otherwise set the ratio.
+    let (mut serial_wall_s, mut fused_wall_s) = (f64::INFINITY, f64::INFINITY);
+    let mut stats = None;
+    for _ in 0..TRIALS {
+        let serial_svc = service_of(Duration::ZERO);
+        let wall: f64 = (0..rounds)
+            .map(|_| comine_burst(&serial_svc, &requests, &serial, false))
+            .sum();
+        serial_wall_s = serial_wall_s.min(wall);
 
-    let fused_svc = service_of(Duration::from_millis(150));
-    let mut fused_wall_s = 0.0;
-    for _ in 0..rounds {
+        let fused_svc = service_of(Duration::from_millis(150));
         // Staged leader: the batch fills to max_batch while the leader holds
         // the only slot, so the whole bundle is admitted as one unit.
-        fused_wall_s += comine_burst(&fused_svc, &requests, &serial, true);
+        let wall: f64 = (0..rounds)
+            .map(|_| comine_burst(&fused_svc, &requests, &serial, true))
+            .sum();
+        fused_wall_s = fused_wall_s.min(wall);
+        stats = Some(fused_svc.stats());
     }
-    let stats = fused_svc.stats();
+    let stats = stats.expect("at least one trial");
 
     SaturatedPoint {
         clients,
@@ -409,32 +427,21 @@ fn run_socket(cfg: &ServeBenchConfig, db: &Arc<EventDb>) -> SocketBench {
     // The ground truth, encoded through the very serializer the server uses:
     // replies must match byte for byte.
     let want = wire::mining_result_value(&serial, &Alphabet::latin26()).encode();
-    let backends = ["sharded", "mapreduce", "activeset"];
 
     // In-process baseline: the identical request stream (same db, same
-    // config, same backend rotation) submitted straight into a service.
+    // config, default backend) submitted straight into a service.
     let inprocess_qps_1 = {
         let service = MiningService::new(ServiceConfig {
             workers: cfg.workers,
             max_in_flight: default_workers(),
             ..Default::default()
         });
-        let requests: Vec<MiningRequest> = [
-            BackendChoice::Sharded,
-            BackendChoice::MapReduce,
-            BackendChoice::ActiveSet,
-        ]
-        .iter()
-        .map(|&b| {
-            let req = MiningRequest::new(Arc::clone(db), cfg.mining).backend(b);
-            req.key();
-            req
-        })
-        .collect();
+        let request = MiningRequest::new(Arc::clone(db), cfg.mining);
+        request.key();
         let started = Instant::now();
-        for round in 0..per_client {
+        for _ in 0..per_client {
             let resp = service
-                .submit(&requests[round % requests.len()])
+                .submit(&request)
                 .expect("in-process baseline request failed");
             assert_eq!(resp.result, serial, "in-process baseline diverged");
         }
@@ -462,7 +469,7 @@ fn run_socket(cfg: &ServeBenchConfig, db: &Arc<EventDb>) -> SocketBench {
         let latencies = Arc::new(Mutex::new(Vec::<f64>::new()));
         let started = Instant::now();
         std::thread::scope(|s| {
-            for client in 0..clients {
+            for _ in 0..clients {
                 let latencies = Arc::clone(&latencies);
                 let letters = &letters;
                 let want = &want;
@@ -470,14 +477,14 @@ fn run_socket(cfg: &ServeBenchConfig, db: &Arc<EventDb>) -> SocketBench {
                     let mut conn =
                         Client::connect(addr).expect("socket bench client failed to connect");
                     let mut local = Vec::with_capacity(per_client);
-                    for round in 0..per_client {
+                    for _ in 0..per_client {
                         let request = mine_request(
                             "bench",
                             "bench",
                             letters,
                             cfg.mining.alpha,
                             cfg.mining.max_level,
-                            Some(backends[(client + round) % backends.len()]),
+                            None,
                             None,
                             None,
                         );
@@ -543,6 +550,74 @@ fn run_socket(cfg: &ServeBenchConfig, db: &Arc<EventDb>) -> SocketBench {
     }
 }
 
+/// The served-path executor scenario: one in-process request stream (every
+/// workload, round robin, cache warm after the first pass) submitted twice
+/// per round — once through the default [`MiningService::submit`] (the
+/// cost-dispatched engine) and once through
+/// [`MiningService::submit_with`] a `ShardedScanBackend::auto()` (the
+/// compiled active-set scan the service used to default to). The two
+/// submissions alternate, so host-speed drift hits both sides alike.
+#[derive(Debug, Clone)]
+pub struct ServedExecutorPoint {
+    /// Requests submitted on each side.
+    pub requests: usize,
+    /// Wall time of the default-executor submissions, seconds.
+    pub auto_wall_s: f64,
+    /// Wall time of the sharded-scan submissions, seconds.
+    pub sharded_wall_s: f64,
+    /// The headline: sharded wall over default wall (> 1 = the served
+    /// default beats the old compiled scan on the same requests).
+    pub ratio: f64,
+}
+
+/// Runs the served-path executor scenario (see [`ServedExecutorPoint`]).
+/// Every response on both sides is checked against the serial ground truth.
+fn run_served_executor(
+    cfg: &ServeBenchConfig,
+    workloads: &[(String, Arc<EventDb>)],
+    serial: &[MiningResult],
+) -> ServedExecutorPoint {
+    let service_of = || {
+        MiningService::new(ServiceConfig {
+            workers: cfg.workers,
+            ..Default::default()
+        })
+    };
+    let (auto_svc, sharded_svc) = (service_of(), service_of());
+    let requests: Vec<MiningRequest> = workloads
+        .iter()
+        .map(|(_, db)| {
+            let req = MiningRequest::new(Arc::clone(db), cfg.mining);
+            req.key();
+            req
+        })
+        .collect();
+    let rounds = cfg.requests_per_client.max(1) * requests.len();
+    let mut sharded = ShardedScanBackend::auto();
+    let (mut auto_wall_s, mut sharded_wall_s) = (0.0, 0.0);
+    for round in 0..rounds {
+        let which = round % requests.len();
+        let t = Instant::now();
+        let resp = auto_svc
+            .submit(&requests[which])
+            .expect("served default request failed");
+        auto_wall_s += t.elapsed().as_secs_f64();
+        assert_eq!(resp.result, serial[which], "served default diverged");
+        let t = Instant::now();
+        let resp = sharded_svc
+            .submit_with(&requests[which], &mut sharded)
+            .expect("served sharded request failed");
+        sharded_wall_s += t.elapsed().as_secs_f64();
+        assert_eq!(resp.result, serial[which], "served sharded scan diverged");
+    }
+    ServedExecutorPoint {
+        requests: rounds,
+        auto_wall_s,
+        sharded_wall_s,
+        ratio: sharded_wall_s / auto_wall_s.max(1e-9),
+    }
+}
+
 /// One open-loop run: requests arrive on a deterministic Poisson-like
 /// schedule at a target rate (instead of closed-loop resubmission), so
 /// queueing delay at the admission gate is visible separately from service
@@ -594,6 +669,9 @@ pub struct ServeBench {
     /// The socket-path overhead headline: in-process QPS over socket QPS at
     /// 1 client ([`SocketBench::vs_inprocess_overhead`]).
     pub socket_vs_inprocess_overhead: f64,
+    /// The served-executor headline: sharded-scan wall over default-executor
+    /// wall for the same in-process requests ([`ServedExecutorPoint::ratio`]).
+    pub served_auto_vs_sharded: f64,
     /// Per-rung results.
     pub points: Vec<LoadPoint>,
     /// The co-mining scenario measurements.
@@ -604,6 +682,8 @@ pub struct ServeBench {
     pub streaming: StreamingPoint,
     /// The socket-path scenario measurements.
     pub socket: SocketBench,
+    /// The served-executor scenario measurements.
+    pub served: ServedExecutorPoint,
     /// Open-loop measurements, when requested (`reproduce
     /// --serve-open-loop`).
     pub open_loop: Option<OpenLoopReport>,
@@ -719,15 +799,23 @@ fn run_comine(cfg: &ServeBenchConfig, db: &Arc<EventDb>) -> CoMinePoint {
         }))
     };
 
-    // Solo: co-mining disabled — K independent sessions, K scans per level.
-    let solo = service_of(Duration::ZERO);
-    let solo_wall_s = comine_burst(&solo, &requests, &serial, false);
+    // Best of TRIALS fresh (cold-cache) service pairs per side: a burst is a
+    // few milliseconds, so one scheduler hiccup would otherwise set the ratio.
+    let (mut solo_wall_s, mut fused_wall_s) = (f64::INFINITY, f64::INFINITY);
+    let mut stats = None;
+    for _ in 0..TRIALS {
+        // Solo: co-mining disabled — K independent sessions, K scans per
+        // level.
+        let solo = service_of(Duration::ZERO);
+        solo_wall_s = solo_wall_s.min(comine_burst(&solo, &requests, &serial, false));
 
-    // Fused: one batch, one union scan per level (closed by max_batch, so
-    // the window itself never shows up in the wall time).
-    let fused = service_of(Duration::from_secs(2));
-    let fused_wall_s = comine_burst(&fused, &requests, &serial, true);
-    let stats = fused.stats();
+        // Fused: one batch, one union scan per level (closed by max_batch, so
+        // the window itself never shows up in the wall time).
+        let fused = service_of(Duration::from_secs(2));
+        fused_wall_s = fused_wall_s.min(comine_burst(&fused, &requests, &serial, true));
+        stats = Some(fused.stats());
+    }
+    let stats = stats.expect("at least one trial");
 
     CoMinePoint {
         clients,
@@ -898,27 +986,16 @@ pub fn run(cfg: &ServeBenchConfig) -> ServeBench {
                 .expect("serial reference mining failed")
         })
         .collect();
-    // Mixed backends, mirroring heterogeneous tenants.
-    let backends = [
-        BackendChoice::Sharded,
-        BackendChoice::MapReduce,
-        BackendChoice::ActiveSet,
-    ];
     // Build (and key-hash) every request value once, outside the timed
     // region: steady-state clients hold their request values across
     // submissions, so the measured latency should not include the one-time
     // content hash.
-    let requests: Vec<Vec<MiningRequest>> = workloads
+    let requests: Vec<MiningRequest> = workloads
         .iter()
         .map(|(_, db)| {
-            backends
-                .iter()
-                .map(|&b| {
-                    let req = MiningRequest::new(Arc::clone(db), cfg.mining).backend(b);
-                    req.key(); // warm the memoized session key
-                    req
-                })
-                .collect()
+            let req = MiningRequest::new(Arc::clone(db), cfg.mining);
+            req.key(); // warm the memoized session key
+            req
         })
         .collect();
 
@@ -944,12 +1021,10 @@ pub fn run(cfg: &ServeBenchConfig) -> ServeBench {
                     let mut local = Vec::with_capacity(per_client);
                     for round in 0..per_client {
                         let which = (client + round) % workloads.len();
-                        // Decorrelated from `which` (offset advances by round),
-                        // so every workload meets every backend over a
-                        // client's rounds instead of a fixed pairing.
-                        let req = &requests[which][(client + 2 * round) % backends.len()];
                         let t = Instant::now();
-                        let resp = service.submit(req).expect("serve request failed");
+                        let resp = service
+                            .submit(&requests[which])
+                            .expect("serve request failed");
                         local.push(t.elapsed().as_secs_f64() * 1e3);
                         assert_eq!(
                             resp.result, serial[which],
@@ -997,6 +1072,7 @@ pub fn run(cfg: &ServeBenchConfig) -> ServeBench {
     let saturated = run_saturated(cfg, &workloads[0].1);
     let streaming = run_streaming(&workloads[0].1);
     let socket = run_socket(cfg, &workloads[0].1);
+    let served = run_served_executor(cfg, &workloads, &serial);
     ServeBench {
         available_parallelism: default_workers(),
         workers: if cfg.workers == 0 {
@@ -1014,11 +1090,13 @@ pub fn run(cfg: &ServeBenchConfig) -> ServeBench {
         incremental_vs_rescan_ratio: streaming.ratio,
         socket_qps_16_clients_vs_1: socket.qps_16_clients_vs_1,
         socket_vs_inprocess_overhead: socket.vs_inprocess_overhead,
+        served_auto_vs_sharded: served.ratio,
         points,
         comine,
         saturated,
         streaming,
         socket,
+        served,
         open_loop: None,
     }
 }
@@ -1056,6 +1134,18 @@ impl ServeBench {
         s.push_str(&format!(
             "  \"socket_vs_inprocess_overhead\": {:.4},\n",
             self.socket_vs_inprocess_overhead
+        ));
+        s.push_str(&format!(
+            "  \"served_auto_vs_sharded\": {:.4},\n",
+            self.served_auto_vs_sharded
+        ));
+        s.push_str(&format!(
+            "  \"served\": {{\"requests\": {}, \"auto_wall_s\": {:.4}, \
+             \"sharded_wall_s\": {:.4}, \"ratio\": {:.4}}},\n",
+            self.served.requests,
+            self.served.auto_wall_s,
+            self.served.sharded_wall_s,
+            self.served.ratio
         ));
         s.push_str(&format!(
             "  \"comine\": {{\"clients\": {}, \"solo_wall_s\": {:.4}, \"fused_wall_s\": {:.4}, \
@@ -1220,6 +1310,14 @@ impl ServeBench {
             " = {:.2}x overhead, {:.2}x 16-vs-1\n",
             self.socket_vs_inprocess_overhead, self.socket_qps_16_clients_vs_1
         ));
+        s.push_str(&format!(
+            "  served executor ({} requests each): default {:.1} ms vs sharded scan {:.1} ms \
+             = {:.2}x\n",
+            self.served.requests,
+            self.served.auto_wall_s * 1e3,
+            self.served.sharded_wall_s * 1e3,
+            self.served_auto_vs_sharded
+        ));
         if let Some(ol) = &self.open_loop {
             s.push_str(&format!(
                 "  open loop @ {:.1} req/s: queue mean {:.2} ms p95 {:.2} ms | \
@@ -1305,6 +1403,11 @@ mod tests {
         assert!(b.socket_vs_inprocess_overhead.is_finite());
         // No 16-client rung configured: degrades to 0, not NaN.
         assert_eq!(b.socket_qps_16_clients_vs_1, 0.0);
+        // The served-executor scenario ran both sides on every workload
+        // (responses were checked against serial mining inside).
+        assert_eq!(b.served.requests, 2 * b.workloads.len());
+        assert!(b.served_auto_vs_sharded > 0.0);
+        assert!(b.served_auto_vs_sharded.is_finite());
     }
 
     #[test]
@@ -1326,6 +1429,7 @@ mod tests {
         assert!(j.contains("\"incremental_vs_rescan_ratio\""));
         assert!(j.contains("\"socket_qps_16_clients_vs_1\""));
         assert!(j.contains("\"socket_vs_inprocess_overhead\""));
+        assert!(j.contains("\"served_auto_vs_sharded\""));
         assert!(j.contains("\"inprocess_qps_1\""));
         assert!(j.contains("\"rescan_wall_s\""));
         assert!(j.contains("\"co_cache_hits\""));

@@ -19,56 +19,12 @@
 //! [`CountRequest`]: crate::session::CountRequest
 //! [`MiningSession`]: crate::session::MiningSession
 
-use crate::engine::{with_thread_scratch, BitmaskNfa, CountStrategy};
-use crate::episode::Episode;
+use crate::engine::{with_thread_scratch, BitmaskNfa, CompiledCandidates, CountStrategy};
 use crate::segment::segment_ranges;
 use crate::sequence::EventDb;
 use crate::session::{BackendError, CountRequest, Counts, Executor, MineError, MiningSession};
 use crate::stats::{LevelResult, MiningResult};
 use std::sync::Arc;
-
-/// The legacy counting-step strategy: given the database and raw candidate
-/// episodes, produce one appearance count per candidate.
-///
-/// Superseded by the plan/execute split of [`crate::session`]: implement
-/// [`Executor`] instead and drive it with a [`MiningSession`] (or
-/// [`Miner::mine`]), which compiles the candidate set once per level and
-/// lends backends a [`CountRequest`] view. Every [`Executor`] still
-/// implements this trait through a blanket shim, so old call sites keep
-/// working (each `count` call plans a throwaway session).
-///
-/// [`CountRequest`]: crate::session::CountRequest
-/// [`MiningSession`]: crate::session::MiningSession
-#[deprecated(
-    since = "0.2.0",
-    note = "implement tdm_core::session::Executor and drive it with a MiningSession (or Miner::mine)"
-)]
-pub trait CountingBackend {
-    /// Counts every candidate episode over the database.
-    fn count(&mut self, db: &EventDb, candidates: &[Episode]) -> Vec<u64>;
-
-    /// A short human-readable name (used in reports).
-    fn name(&self) -> &str {
-        "unnamed"
-    }
-}
-
-/// Every new-style [`Executor`] still serves the deprecated trait: one
-/// throwaway [`MiningSession`] per call (compile + execute). Migration shim
-/// only — the session API amortizes the plan step across levels.
-#[allow(deprecated)]
-impl<E: Executor> CountingBackend for E {
-    fn count(&mut self, db: &EventDb, candidates: &[Episode]) -> Vec<u64> {
-        let mut session = MiningSession::builder(db).build();
-        session
-            .count_candidates(candidates, self)
-            .expect("counting backend failed")
-    }
-
-    fn name(&self) -> &str {
-        Executor::name(self)
-    }
-}
 
 /// The built-in sequential executor: one active-set pass over the request's
 /// compiled layout, holding only its [`CountScratch`] across levels (the
@@ -90,16 +46,22 @@ impl Executor for SequentialBackend {
     }
 }
 
-/// Candidate sets smaller than this are counted on one thread even when the
-/// vertical strategy could chunk them — per-chunk dispatch would dominate.
-const MIN_VERTICAL_PARALLEL: usize = 256;
+/// Levels whose estimated cost ([`CompiledCandidates::strategy_costs`] op
+/// units) is below this are counted on the calling thread even when the
+/// session planned more workers: waking the pool costs more than the
+/// parallel split saves on work this small (a few hundred microseconds).
+const MIN_PARALLEL_OPS: f64 = 2_000_000.0;
 
 /// The engine's **strategy-dispatching** executor: per level, asks
 /// [`CompiledCandidates::choose_strategy`] for the estimated-cheapest
 /// counting strategy over the session's cached [`OccurrenceIndex`], then runs
 /// it — parallelized over the session pool when the session planned more than
-/// one worker:
+/// one worker and the level's estimated cost is large enough to pay for
+/// waking the pool:
 ///
+/// * **level 1** (every candidate a single symbol) is one histogram pass over
+///   the stream; it never builds the occurrence index, so sessions that stop
+///   at level 1 never hold one;
 /// * **vertical** counts chunk the *candidate set* (occurrence-list probes
 ///   never walk the stream, so candidate chunking is exact with zero
 ///   boundary work);
@@ -135,15 +97,22 @@ impl Executor for AutoBackend {
     fn execute(&mut self, req: &CountRequest<'_>) -> Result<Counts, BackendError> {
         let compiled = req.compiled();
         let stream = req.stream();
+        if compiled.max_level() <= 1 {
+            // Level 1 never needs the occurrence index: a single-symbol
+            // episode's count is its symbol's bucket in one histogram pass.
+            return Ok(count_singletons(compiled, stream));
+        }
         let index = req.occurrence_index();
-        match compiled.choose_strategy(index) {
+        let strategy = compiled.choose_strategy(index);
+        let parallel =
+            req.workers() > 1 && compiled.strategy_costs(index).cpu_best() >= MIN_PARALLEL_OPS;
+        match strategy {
             CountStrategy::ActiveSet => Ok(with_thread_scratch(|s| compiled.count(stream, s))),
             CountStrategy::Vertical => {
-                let workers = req.workers();
-                if workers <= 1 || compiled.len() < MIN_VERTICAL_PARALLEL {
+                if !parallel {
                     return Ok(compiled.count_vertical(stream, index));
                 }
-                let chunks = req.chunk_ranges(workers);
+                let chunks = req.chunk_ranges(req.workers());
                 let shared_compiled = req.compiled_shared();
                 let shared_stream = req.stream_shared();
                 let shared_index = req.occurrence_index_shared();
@@ -165,7 +134,7 @@ impl Executor for AutoBackend {
                     return Ok(compiled.count_vertical(stream, index));
                 };
                 let bounds = req.shard_bounds();
-                if bounds.is_empty() {
+                if !parallel || bounds.is_empty() {
                     return Ok(nfa.count(stream));
                 }
                 let nfa = Arc::new(nfa);
@@ -182,6 +151,19 @@ impl Executor for AutoBackend {
     fn name(&self) -> &str {
         "engine-auto"
     }
+}
+
+/// Counts a set of single-symbol episodes with one histogram pass over the
+/// stream — what every strategy computes at level 1, without building the
+/// session's occurrence index (4 B per stream position) for it.
+fn count_singletons(compiled: &CompiledCandidates, stream: &[u8]) -> Counts {
+    let mut histogram = [0u64; 256];
+    for &c in stream {
+        histogram[c as usize] += 1;
+    }
+    (0..compiled.len())
+        .map(|i| histogram[compiled.items_of(i)[0] as usize])
+        .collect()
 }
 
 /// Mining-loop configuration.
@@ -260,6 +242,7 @@ impl Miner {
 mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
+    use crate::episode::Episode;
 
     fn db_of(s: &str) -> EventDb {
         EventDb::from_str_symbols(&Alphabet::latin26(), s).unwrap()
@@ -356,6 +339,71 @@ mod tests {
     }
 
     #[test]
+    fn auto_backend_parallel_paths_match_sequential() {
+        // Inputs big enough to clear MIN_PARALLEL_OPS, so each strategy
+        // splits over the pool: uniform letters make level 2 bitmask-bound;
+        // a rare symbol in every episode makes the vertical probe cheapest.
+        use crate::engine::{CountScratch, OccurrenceIndex};
+        let mut state = 0x2009u64;
+        let mut next = |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % m) as u8
+        };
+        let uniform: Vec<u8> = (0..150_000).map(|_| next(26)).collect();
+        let skewed: Vec<u8> = (0..200_000)
+            .map(|i| if i % 25 == 0 { 25 } else { next(4) })
+            .collect();
+        // Distinct-item episodes over `set` at `level`, optionally only those
+        // containing `must`.
+        let letters = |set: &[u8], level: usize, must: Option<u8>| -> Vec<Episode> {
+            let mut partial: Vec<Vec<u8>> = vec![Vec::new()];
+            for _ in 0..level {
+                let mut grown = Vec::new();
+                for p in &partial {
+                    for &c in set.iter().filter(|c| !p.contains(c)) {
+                        let mut q = p.clone();
+                        q.push(c);
+                        grown.push(q);
+                    }
+                }
+                partial = grown;
+            }
+            partial
+                .into_iter()
+                .filter(|p| must.is_none_or(|m| p.contains(&m)))
+                .map(|p| Episode::new(p).unwrap())
+                .collect()
+        };
+        let all: Vec<u8> = (0..26).collect();
+        let rare_set = [0, 1, 2, 3, 25];
+        let with_rare: Vec<Episode> = (2..=4)
+            .flat_map(|level| letters(&rare_set, level, Some(25)))
+            .collect();
+        let cases = [
+            (uniform, letters(&all, 2, None), CountStrategy::Bitmask),
+            (skewed, with_rare, CountStrategy::Vertical),
+        ];
+        for (stream, episodes, strategy) in cases {
+            let db = EventDb::new(Alphabet::latin26(), stream).unwrap();
+            let compiled = CompiledCandidates::compile(26, &episodes);
+            let index = OccurrenceIndex::build(26, db.symbols());
+            assert_eq!(compiled.choose_strategy(&index), strategy);
+            assert!(compiled.strategy_costs(&index).cpu_best() >= MIN_PARALLEL_OPS);
+            let reference = compiled.count(db.symbols(), &mut CountScratch::new());
+            for workers in 1..=4 {
+                let counts = MiningSession::builder(&db)
+                    .workers(workers)
+                    .build()
+                    .count_candidates(&episodes, &mut AutoBackend)
+                    .unwrap();
+                assert_eq!(counts, reference, "{strategy:?}, workers={workers}");
+            }
+        }
+    }
+
+    #[test]
     fn auto_backend_matches_sequential_across_worker_counts() {
         let db = db_of(&"ABCABZQXABC".repeat(500)); // > MIN_SHARD_STREAM
         let cfg = MinerConfig {
@@ -374,23 +422,5 @@ mod tests {
             let got = session.mine(&mut AutoBackend).unwrap();
             assert_eq!(got, reference, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn legacy_trait_shim_still_counts() {
-        #[allow(deprecated)]
-        fn old_style<B: CountingBackend>(db: &EventDb, b: &mut B) -> Vec<u64> {
-            let ab = Alphabet::latin26();
-            let eps = vec![
-                Episode::from_str(&ab, "AB").unwrap(),
-                Episode::from_str(&ab, "C").unwrap(),
-            ];
-            b.count(db, &eps)
-        }
-        let db = db_of("ABCABC");
-        assert_eq!(
-            old_style(&db, &mut SequentialBackend::default()),
-            vec![2, 2]
-        );
     }
 }

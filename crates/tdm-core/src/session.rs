@@ -49,6 +49,8 @@
 //! assert_eq!(session.compiles(), result.levels.len());
 //! ```
 
+use std::borrow::Cow;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -836,7 +838,6 @@ impl<'db> MiningSession<'db> {
                 .zip(counts.iter().copied())
                 .filter(|(_, c)| support(*c, n) > self.config.alpha)
                 .collect();
-            let next_seed: Vec<Episode> = frequent.iter().map(|(e, _)| e.clone()).collect();
             let level_result = LevelResult {
                 level,
                 candidates: candidates.len(),
@@ -844,6 +845,15 @@ impl<'db> MiningSession<'db> {
             };
             on_level(&level_result);
             result.levels.push(level_result);
+            // No join past the level bound: its candidates would never count.
+            if self.config.max_level.is_some_and(|maxl| level >= maxl) {
+                break;
+            }
+            let next_seed: Vec<Episode> = result
+                .levels
+                .last()
+                .map(|l| l.frequent.iter().map(|(e, _)| e.clone()).collect())
+                .unwrap_or_default();
             if next_seed.is_empty() {
                 break;
             }
@@ -1007,9 +1017,22 @@ fn same_plan(a: &MinerConfig, b: &MinerConfig) -> bool {
 
 /// Per-member progress inside [`CoSession::co_mine`].
 struct CoMember {
-    candidates: Vec<Episode>,
+    /// This level's candidates. Members whose frequent seeds agree share one
+    /// joined set; a level whose active members all share one set compiles
+    /// it directly, with no union to build.
+    candidates: Rc<[Episode]>,
     result: MiningResult,
     active: bool,
+}
+
+/// One generation step of a [`CoSession::co_mine`] level, kept so members
+/// whose seeds are identical reuse its join: `source` is the candidate set
+/// the seed was drawn from, `kept` the surviving indices into it.
+struct JoinMemo {
+    source: Rc<[Episode]>,
+    distinct_items_only: bool,
+    kept: Vec<u32>,
+    joined: Rc<[Episode]>,
 }
 
 /// A **co-mining** session: the group-planning side of cross-request
@@ -1234,11 +1257,12 @@ impl CoSession {
         guard_vertical_cache(&mut self.vertical, self.stream.len());
         let n = self.db.len();
         let alphabet_len = self.db.alphabet().len();
+        let first: Rc<[Episode]> = level1(self.db.alphabet()).into();
         let mut members: Vec<CoMember> = self
             .configs
             .iter()
             .map(|_| CoMember {
-                candidates: level1(self.db.alphabet()),
+                candidates: Rc::clone(&first),
                 result: MiningResult {
                     levels: Vec::new(),
                     db_len: n,
@@ -1246,6 +1270,7 @@ impl CoSession {
                 active: true,
             })
             .collect();
+        let mut joins: Vec<JoinMemo> = Vec::new();
         let mut level = 1usize;
         loop {
             // Retire members that are out of candidates or past their level
@@ -1260,7 +1285,7 @@ impl CoSession {
             let sets: Vec<&[Episode]> = members
                 .iter()
                 .filter(|m| m.active)
-                .map(|m| m.candidates.as_slice())
+                .map(|m| &m.candidates[..])
                 .collect();
             if sets.is_empty() {
                 break;
@@ -1275,9 +1300,18 @@ impl CoSession {
                 });
             }
 
-            // Plan: one union, one in-place compile — however many members.
-            self.union.rebuild(&sets);
-            Arc::make_mut(&mut self.compiled).recompile(alphabet_len, self.union.episodes());
+            // Plan: one in-place compile, however many members — of their one
+            // shared candidate set when they all ride it (no union needed),
+            // else of the deduplicated union of their sets.
+            let shared = sets.iter().all(|s| std::ptr::eq(*s, sets[0]));
+            let planned = if shared {
+                sets[0]
+            } else {
+                self.union.rebuild(&sets);
+                self.union.episodes()
+            };
+            let expected = planned.len();
+            Arc::make_mut(&mut self.compiled).recompile(alphabet_len, planned);
             self.compiles += 1;
             let req = CountRequest {
                 db: &self.db,
@@ -1297,44 +1331,71 @@ impl CoSession {
                 backend: executor.name().to_string(),
                 source,
             })?;
-            if union_counts.len() != self.union.len() {
+            if union_counts.len() != expected {
                 return Err(MineError {
                     level,
                     backend: executor.name().to_string(),
                     source: BackendError::CountLength {
-                        expected: self.union.len(),
+                        expected,
                         got: union_counts.len(),
                     },
                 });
             }
 
-            // Demux + per-member elimination and generation.
+            // Demux + per-member elimination and generation. Stepped-α
+            // members often keep the same survivors of a shared set; they
+            // share one join (and one candidate set next level).
+            joins.clear();
             let mut slot = 0usize;
             for (m, cfg) in members.iter_mut().zip(&self.configs) {
                 if !m.active {
                     continue;
                 }
-                let counts = self.union.demux(slot, &union_counts);
+                let counts = if shared {
+                    Cow::Borrowed(&union_counts[..])
+                } else {
+                    Cow::Owned(self.union.demux(slot, &union_counts))
+                };
                 slot += 1;
-                let frequent: Vec<(Episode, u64)> = m
-                    .candidates
-                    .iter()
-                    .cloned()
-                    .zip(counts.iter().copied())
-                    .filter(|(_, c)| support(*c, n) > cfg.alpha)
+                let kept: Vec<u32> = (0..counts.len() as u32)
+                    .filter(|&i| support(counts[i as usize], n) > cfg.alpha)
                     .collect();
-                let next_seed: Vec<Episode> = frequent.iter().map(|(e, _)| e.clone()).collect();
                 m.result.levels.push(LevelResult {
                     level,
                     candidates: m.candidates.len(),
-                    frequent,
+                    frequent: kept
+                        .iter()
+                        .map(|&i| (m.candidates[i as usize].clone(), counts[i as usize]))
+                        .collect(),
                 });
-                if next_seed.is_empty() {
+                // Out of survivors, or at the level bound: no join.
+                if kept.is_empty() || cfg.max_level.is_some_and(|maxl| level >= maxl) {
                     m.active = false;
-                    m.candidates.clear();
-                } else {
-                    m.candidates = apriori_join(&next_seed, cfg.distinct_items_only);
+                    continue;
                 }
+                let memo = joins.iter().find(|j| {
+                    Rc::ptr_eq(&j.source, &m.candidates)
+                        && j.distinct_items_only == cfg.distinct_items_only
+                        && j.kept == kept
+                });
+                m.candidates = match memo {
+                    Some(j) => Rc::clone(&j.joined),
+                    None => {
+                        let seed: Vec<Episode> = kept
+                            .iter()
+                            .map(|&i| m.candidates[i as usize].clone())
+                            .collect();
+                        let joined: Rc<[Episode]> =
+                            apriori_join(&seed, cfg.distinct_items_only).into();
+                        joins.push(JoinMemo {
+                            source: Rc::clone(&m.candidates),
+                            distinct_items_only: cfg.distinct_items_only,
+                            kept,
+                            joined: Rc::clone(&joined),
+                        });
+                        joined
+                    }
+                };
             }
             level += 1;
         }
@@ -1463,5 +1524,51 @@ mod tests {
         group.set_cancel_token(None);
         let results = group.co_mine(&mut spy).unwrap();
         assert_eq!(results.len(), 2);
+    }
+
+    #[test]
+    fn level_one_sessions_leave_the_occurrence_index_unbuilt() {
+        // The index costs 4 B per stream position; a level-1 request is
+        // answered from one histogram pass and must never pay for it.
+        let shared = Arc::new(
+            EventDb::from_str_symbols(&Alphabet::latin26(), &"ABCAAB".repeat(2_000)).unwrap(),
+        );
+        let config = MinerConfig {
+            alpha: 0.01,
+            max_level: Some(1),
+            ..Default::default()
+        };
+        let mut solo = MiningSession::builder_shared(Arc::clone(&shared))
+            .config(config)
+            .workers(2)
+            .build();
+        let result = solo.mine(&mut crate::miner::AutoBackend).unwrap();
+        assert_eq!(result.levels.len(), 1);
+        assert!(
+            solo.vertical.get().is_none(),
+            "solo session built the index"
+        );
+
+        let mut group = CoSession::builder(Arc::clone(&shared))
+            .config(config)
+            .config(MinerConfig {
+                alpha: 0.3,
+                ..config
+            })
+            .workers(2)
+            .build();
+        let results = group.co_mine(&mut crate::miner::AutoBackend).unwrap();
+        assert_eq!(results.len(), 2);
+        assert!(group.vertical.get().is_none(), "co-session built the index");
+
+        // The probe is live: a level-2 run does build the index.
+        let mut deeper = MiningSession::builder_shared(shared)
+            .config(MinerConfig {
+                max_level: Some(2),
+                ..config
+            })
+            .build();
+        deeper.mine(&mut crate::miner::AutoBackend).unwrap();
+        assert!(deeper.vertical.get().is_some());
     }
 }

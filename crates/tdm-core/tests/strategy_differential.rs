@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use tdm_core::engine::{BitmaskNfa, CandidateUnion, CompiledCandidates, OccurrenceIndex};
-use tdm_core::miner::AutoBackend;
+use tdm_core::miner::{AutoBackend, Miner, MinerConfig, SequentialBackend};
 use tdm_core::segment::even_bounds;
 use tdm_core::session::MiningSession;
 use tdm_core::{Alphabet, Episode, EventDb};
@@ -203,6 +203,51 @@ fn sessions_dispatch_identically_for_workers_1_through_8() {
 }
 
 #[test]
+fn level_one_only_mining_matches_sequential_for_workers_1_through_8() {
+    // Level-1-only configs take AutoBackend's histogram path: every symbol
+    // run, generation rule, threshold and worker count must still give the
+    // sequential executor's exact result.
+    let ab = Alphabet::latin26();
+    let texts = [
+        "AAAAAAAABBBBAAAA".repeat(300),
+        "ZZZZZ".repeat(900),
+        "ABCABZQXABCAACAB".repeat(300),
+        "Q".to_string(),
+        String::new(),
+    ];
+    for text in &texts {
+        let db = EventDb::from_str_symbols(&ab, text).unwrap();
+        for distinct_items_only in [true, false] {
+            for alpha in [0.0, 0.2] {
+                let config = MinerConfig {
+                    alpha,
+                    max_level: Some(1),
+                    distinct_items_only,
+                };
+                let reference = Miner::new(config)
+                    .mine(&db, &mut SequentialBackend::default())
+                    .unwrap();
+                for workers in 1..=8 {
+                    let got = MiningSession::builder(&db)
+                        .config(config)
+                        .workers(workers)
+                        .build()
+                        .mine(&mut AutoBackend)
+                        .unwrap();
+                    assert_eq!(
+                        got,
+                        reference,
+                        "{} letters, distinct {distinct_items_only}, alpha {alpha}, \
+                         {workers} workers",
+                        text.len()
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn candidate_union_demux_over_the_new_strategies() {
     let ab = Alphabet::latin26();
     let stream: Vec<u8> = "ABCABZQXABCAACAB"
@@ -319,6 +364,26 @@ proptest! {
     ) {
         let (stream, episodes) = fold_inputs(alpha, &raw_stream, &raw_eps);
         assert_all_strategies_match(alpha, &stream, &episodes);
+    }
+
+    #[test]
+    fn level_one_counts_match_the_frozen_seed_counter(
+        alpha in 1usize..=6,
+        raw_stream in proptest::collection::vec(0u8..6, 0..300),
+        workers in 1usize..=8,
+    ) {
+        let ab = Alphabet::new((0..alpha).map(|i| format!("s{i}"))).unwrap();
+        let stream: Vec<u8> = raw_stream.iter().map(|&c| c % alpha as u8).collect();
+        let db = EventDb::new(ab, stream).unwrap();
+        let singletons: Vec<Episode> =
+            (0..alpha as u8).map(|c| Episode::new(vec![c]).unwrap()).collect();
+        let reference = seed_count_episodes(alpha, db.symbols(), &singletons);
+        let counts = MiningSession::builder(&db)
+            .workers(workers)
+            .build()
+            .count_candidates(&singletons, &mut AutoBackend)
+            .unwrap();
+        prop_assert_eq!(counts, reference);
     }
 
     #[test]

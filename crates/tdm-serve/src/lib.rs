@@ -9,7 +9,9 @@
 //!
 //! * [`MiningService`] — accepts [`MiningRequest`]s (an `Arc<EventDb>`
 //!   handle, a `MinerConfig`, a [`BackendChoice`], a [`Priority`]) from any
-//!   number of client threads and serves each a full [`MiningResponse`];
+//!   number of client threads and serves each a full [`MiningResponse`],
+//!   counted by a cost-dispatched executor: the engine's `AutoBackend` by
+//!   default, or the simulated GPU pipeline;
 //! * **one shared pool** — every request's counting scans multiplex over a
 //!   single machine-sized [`Pool`](tdm_mapreduce::pool::Pool) (sessions are
 //!   built with `MiningSessionBuilder::with_pool`), so 16 clients use the
@@ -37,7 +39,7 @@
 //!   instead of K serialized solo runs. Fused batches reuse parked
 //!   [`CoSessionCache`] sessions keyed by (db hash, *sorted* config-set
 //!   fingerprint), and [`MiningService::submit`]-style members vote on the
-//!   fused executor (majority wins, leader breaks ties). Results stay
+//!   fused executor class, CPU or GPU (majority wins, leader breaks ties). Results stay
 //!   bit-identical to solo mining (the workspace `tests/comining.rs`
 //!   differential suite proves it under adversarial overlap);
 //! * **streaming ingestion** ([`ingest`]) — per-tenant append buffers with

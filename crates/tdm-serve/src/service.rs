@@ -4,8 +4,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tdm_baselines::{ActiveSetBackend, MapReduceBackend, SerialScanBackend, ShardedScanBackend};
-use tdm_core::miner::SequentialBackend;
+use tdm_core::miner::AutoBackend;
 use tdm_core::session::{BackendError, CancelToken, Executor, MineError};
 use tdm_core::stats::MiningResult;
 use tdm_core::{EventDb, MinerConfig};
@@ -18,25 +17,22 @@ use crate::cache::{
 };
 use crate::comine::{Batcher, CoMiningStats, Deliveries, Entry};
 
-/// Which counting executor serves a request. All choices produce bit-identical
-/// counts; they differ only in how the scan is decomposed over the shared
-/// pool.
+/// Which class of counting executor serves a request. Both produce counts
+/// bit-identical to the serial counter; each picks its own decomposition per
+/// level by estimated cost.
+///
+/// The single-strategy reference executors (`tdm_baselines`'
+/// `ShardedScanBackend`, `MapReduceBackend`, `ActiveSetBackend`,
+/// `SerialScanBackend`, and `tdm_core`'s `SequentialBackend`) are not served
+/// choices; pass one to [`MiningService::submit_with`] to run it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendChoice {
-    /// Database-sharded parallel scan over the shared pool (the paper's
-    /// block-level shape; fastest at low levels). The default.
+    /// The engine's cost-dispatched CPU executor
+    /// ([`tdm_core::miner::AutoBackend`]): vertical occurrence lists or the
+    /// Shift-And bitmask scan, chosen per level over the shared pool. The
+    /// default.
     #[default]
-    Sharded,
-    /// Candidate-sharded parallel scan over the shared pool (the paper's
-    /// thread-level shape; catches up at high levels).
-    MapReduce,
-    /// Single-pass active-set scan on the calling thread (no pool jobs).
-    ActiveSet,
-    /// The built-in sequential executor of `tdm-core` (no pool jobs).
-    Sequential,
-    /// One full scan per episode on the calling thread — the GMiner-class
-    /// baseline; useful for calibration, quadratically slow on big sets.
-    SerialScan,
+    Auto,
     /// The persistent simulated-GPU serving pipeline
     /// ([`tdm_gpu::GpuPipelineBackend`]): per-level CPU-vs-GPU dispatch, the
     /// stream uploaded once and kept device-resident, fused batches modeled
@@ -45,32 +41,15 @@ pub enum BackendChoice {
 }
 
 impl BackendChoice {
-    /// True for the device-pipeline class (every other choice is a CPU scan).
+    /// True for the device-pipeline class ([`BackendChoice::Auto`] is the
+    /// CPU class).
     pub fn is_gpu(&self) -> bool {
         matches!(self, BackendChoice::GpuPipeline)
     }
 
-    /// Declaration-order rank — the deterministic tie-break of
-    /// [`vote_backend`], so a CPU-vs-GPU class split among joiners resolves
-    /// the same way regardless of join order.
-    fn rank(&self) -> u8 {
-        match self {
-            BackendChoice::Sharded => 0,
-            BackendChoice::MapReduce => 1,
-            BackendChoice::ActiveSet => 2,
-            BackendChoice::Sequential => 3,
-            BackendChoice::SerialScan => 4,
-            BackendChoice::GpuPipeline => 5,
-        }
-    }
-
     fn instantiate(&self, tenants: usize) -> Box<dyn Executor> {
         match self {
-            BackendChoice::Sharded => Box::new(ShardedScanBackend::auto()),
-            BackendChoice::MapReduce => Box::new(MapReduceBackend::auto()),
-            BackendChoice::ActiveSet => Box::new(ActiveSetBackend::default()),
-            BackendChoice::Sequential => Box::new(SequentialBackend::default()),
-            BackendChoice::SerialScan => Box::new(SerialScanBackend),
+            BackendChoice::Auto => Box::new(AutoBackend),
             BackendChoice::GpuPipeline => {
                 Box::new(
                     tdm_gpu::GpuPipelineBackend::with_defaults(
@@ -109,8 +88,8 @@ pub struct MiningRequest {
 }
 
 impl MiningRequest {
-    /// A request with the default backend (database-sharded) and normal
-    /// priority.
+    /// A request with the default backend ([`BackendChoice::Auto`]) and
+    /// normal priority.
     pub fn new(db: Arc<EventDb>, config: MinerConfig) -> Self {
         MiningRequest {
             db,
@@ -467,10 +446,10 @@ impl MiningService {
     /// through admission and the mining loop.
     ///
     /// When this request's batch fuses with others submitted this way, the
-    /// members **vote** on the executor: the most-requested
+    /// members **vote** on the executor class: the more-requested
     /// [`BackendChoice`] runs the fused scans (the leader breaks ties), so a
-    /// majority asking for, say, [`BackendChoice::MapReduce`] is not silently
-    /// downgraded to whatever the leader happened to pick.
+    /// majority asking for [`BackendChoice::GpuPipeline`] is not silently
+    /// downgraded to the leader's CPU choice.
     ///
     /// # Errors
     /// [`ServeError::Overloaded`] when the waiting room is full,
@@ -889,42 +868,38 @@ impl MiningService {
     }
 }
 
-/// Majority vote over a batch's declared [`BackendChoice`]s: the leader's
-/// choice starts with one vote, every voting joiner adds one, and the
-/// most-requested choice wins. The leader breaks ties against itself (a
-/// challenger must be *strictly* more requested to displace it); ties *among*
-/// challengers — including CPU-vs-GPU class splits, where the stakes are a
-/// whole backend class — resolve by the enum's declaration-order rank, so the
-/// winner never depends on which joiner happened to reach the batch board
-/// first.
+/// Majority vote over a batch's declared [`BackendChoice`]s — a CPU-vs-GPU
+/// class vote: the leader's choice starts with one vote, every voting joiner
+/// adds one, and a class must be *strictly* more requested to displace the
+/// leader's. With two classes the outcome is a pure tally, so it never
+/// depends on which joiner reached the batch board first.
 fn vote_backend(
     leader: BackendChoice,
     votes: impl Iterator<Item = BackendChoice>,
 ) -> BackendChoice {
-    let mut tally: Vec<(BackendChoice, usize)> = vec![(leader, 1)];
-    for v in votes {
-        match tally.iter_mut().find(|(c, _)| *c == v) {
-            Some((_, n)) => *n += 1,
-            None => tally.push((v, 1)),
-        }
+    let (gpu, cpu) = std::iter::once(leader)
+        .chain(votes)
+        .fold((0usize, 0usize), |(g, c), v| {
+            if v.is_gpu() {
+                (g + 1, c)
+            } else {
+                (g, c + 1)
+            }
+        });
+    match gpu.cmp(&cpu) {
+        std::cmp::Ordering::Greater => BackendChoice::GpuPipeline,
+        std::cmp::Ordering::Less => BackendChoice::Auto,
+        std::cmp::Ordering::Equal => leader,
     }
-    let mut best = tally[0];
-    for &(c, n) in &tally[1..] {
-        let displaces_winner = n > best.1;
-        // Join order inserted `c` into the tally; rank, not insertion order,
-        // must pick among equally-requested challengers.
-        let deterministic_tie = n == best.1 && best.0 != leader && c.rank() < best.0.rank();
-        if displaces_winner || deterministic_tie {
-            best = (c, n);
-        }
-    }
-    best.0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdm_core::miner::Miner;
+    use tdm_baselines::{
+        ActiveSetBackend, MapReduceBackend, SerialScanBackend, ShardedScanBackend,
+    };
+    use tdm_core::miner::{Miner, SequentialBackend};
     use tdm_core::Alphabet;
 
     fn db_of(s: &str) -> Arc<EventDb> {
@@ -949,19 +924,24 @@ mod tests {
         let serial = Miner::new(cfg())
             .mine(&db, &mut SequentialBackend::default())
             .unwrap();
-        for backend in [
-            BackendChoice::Sharded,
-            BackendChoice::MapReduce,
-            BackendChoice::ActiveSet,
-            BackendChoice::Sequential,
-            BackendChoice::SerialScan,
-        ] {
-            let resp = service
-                .submit(&MiningRequest::new(Arc::clone(&db), cfg()).backend(backend))
-                .unwrap();
+        let req = MiningRequest::new(Arc::clone(&db), cfg());
+        for backend in [BackendChoice::Auto, BackendChoice::GpuPipeline] {
+            let resp = service.submit(&req.clone().backend(backend)).unwrap();
             assert_eq!(resp.result, serial, "{backend:?}");
         }
-        assert_eq!(service.stats().completed, 5);
+        // The single-strategy references are reachable through submit_with.
+        let references: [Box<dyn Executor>; 5] = [
+            Box::new(ShardedScanBackend::auto()),
+            Box::new(MapReduceBackend::auto()),
+            Box::new(ActiveSetBackend::default()),
+            Box::new(SequentialBackend::default()),
+            Box::new(SerialScanBackend),
+        ];
+        for mut executor in references {
+            let resp = service.submit_with(&req, executor.as_mut()).unwrap();
+            assert_eq!(resp.result, serial, "{}", executor.name());
+        }
+        assert_eq!(service.stats().completed, 7);
     }
 
     #[test]
@@ -1201,54 +1181,69 @@ mod tests {
     fn backend_vote_tallies_with_leader_tiebreak() {
         use BackendChoice::*;
         // No joiners: the leader's own choice stands.
-        assert_eq!(vote_backend(Sharded, std::iter::empty()), Sharded);
+        assert_eq!(vote_backend(Auto, std::iter::empty()), Auto);
+        assert_eq!(vote_backend(GpuPipeline, std::iter::empty()), GpuPipeline);
         // A strict majority overrides the leader.
         assert_eq!(
-            vote_backend(Sharded, [MapReduce, MapReduce].into_iter()),
-            MapReduce
+            vote_backend(Auto, [GpuPipeline, GpuPipeline].into_iter()),
+            GpuPipeline
         );
+        assert_eq!(vote_backend(GpuPipeline, [Auto, Auto].into_iter()), Auto);
         // A tie (1 leader vote vs 1 joiner vote) keeps the leader's choice.
-        assert_eq!(vote_backend(Sharded, [MapReduce].into_iter()), Sharded);
+        assert_eq!(vote_backend(Auto, [GpuPipeline].into_iter()), Auto);
         // 2 vs 2 across leader+joiners still resolves to the leader.
         assert_eq!(
-            vote_backend(Sharded, [Sharded, MapReduce, MapReduce].into_iter()),
-            Sharded
+            vote_backend(Auto, [Auto, GpuPipeline, GpuPipeline].into_iter()),
+            Auto
         );
         // Joiners agreeing with the leader pile onto its tally.
         assert_eq!(
-            vote_backend(Sharded, [Sharded, MapReduce].into_iter()),
-            Sharded
+            vote_backend(GpuPipeline, [GpuPipeline, Auto].into_iter()),
+            GpuPipeline
         );
     }
 
     #[test]
-    fn backend_vote_challenger_ties_resolve_by_rank_not_join_order() {
+    fn backend_vote_class_split_is_independent_of_join_order() {
         use BackendChoice::*;
-        // Two challengers at 2 votes each both strictly outvote the leader's
-        // 1. Whichever permutation the joiners arrive in, the lower-ranked
-        // (declaration-order) challenger wins — a CPU-vs-GPU class split
-        // cannot flip on join order.
-        let winner = vote_backend(
-            Sequential,
-            [GpuPipeline, MapReduce, GpuPipeline, MapReduce].into_iter(),
-        );
-        assert_eq!(winner, MapReduce);
-        assert_eq!(
-            vote_backend(
-                Sequential,
-                [MapReduce, GpuPipeline, MapReduce, GpuPipeline].into_iter(),
-            ),
-            winner,
-            "join order changed the vote outcome"
-        );
-        // Rank only arbitrates between challengers: a lower-ranked challenger
-        // that merely *ties* the leader never displaces it.
-        assert_eq!(vote_backend(SerialScan, [Sharded].into_iter()), SerialScan);
-        // A strict GPU majority elects the pipeline over a CPU leader.
-        assert_eq!(
-            vote_backend(Sequential, [GpuPipeline, GpuPipeline].into_iter()),
-            GpuPipeline
-        );
+        // Every arrival order of the same joiners elects the same class.
+        // Four GPU votes against two CPU votes: a strict GPU majority
+        // whichever class the leader adds.
+        let orders = [
+            [
+                GpuPipeline,
+                Auto,
+                GpuPipeline,
+                Auto,
+                GpuPipeline,
+                GpuPipeline,
+            ],
+            [
+                Auto,
+                GpuPipeline,
+                GpuPipeline,
+                GpuPipeline,
+                Auto,
+                GpuPipeline,
+            ],
+            [
+                Auto,
+                Auto,
+                GpuPipeline,
+                GpuPipeline,
+                GpuPipeline,
+                GpuPipeline,
+            ],
+        ];
+        for leader in [Auto, GpuPipeline] {
+            for order in orders {
+                assert_eq!(
+                    vote_backend(leader, order.into_iter()),
+                    GpuPipeline,
+                    "leader {leader:?}, order {order:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1296,8 +1291,8 @@ mod tests {
             let mut handles = Vec::new();
             {
                 let service = Arc::clone(&service);
-                let req = MiningRequest::new(Arc::clone(&db), configs[0])
-                    .backend(BackendChoice::Sequential);
+                let req =
+                    MiningRequest::new(Arc::clone(&db), configs[0]).backend(BackendChoice::Auto);
                 handles.push(s.spawn(move || service.submit(&req).unwrap()));
             }
             while service.open_batches() == 0 {
@@ -1341,7 +1336,7 @@ mod tests {
             .unwrap();
         assert_eq!(resp.result, serial);
         assert!(BackendChoice::GpuPipeline.is_gpu());
-        assert!(!BackendChoice::Sharded.is_gpu());
+        assert!(!BackendChoice::Auto.is_gpu());
     }
 
     #[test]

@@ -99,7 +99,8 @@ impl Client {
     }
 }
 
-/// Builds a `"mine"` request value over inline events.
+/// Builds a `"mine"` request value over inline events. `backend` is
+/// `"auto"` (the server's default when `None`) or `"gpu"`.
 #[allow(clippy::too_many_arguments)]
 pub fn mine_request(
     tenant: &str,

@@ -418,16 +418,12 @@ fn serve_mine(state: &ServerState, tenant: &str, request: &Value) -> Result<Valu
     let config =
         wire::config_from(request).map_err(|msg| wire::error_value(codes::BAD_REQUEST, msg))?;
     let backend = match request.get("backend").and_then(Value::as_str) {
-        None => tdm_serve::BackendChoice::default(),
-        Some("sharded") => tdm_serve::BackendChoice::Sharded,
-        Some("mapreduce") => tdm_serve::BackendChoice::MapReduce,
-        Some("activeset") => tdm_serve::BackendChoice::ActiveSet,
-        Some("sequential") => tdm_serve::BackendChoice::Sequential,
-        Some("serialscan") => tdm_serve::BackendChoice::SerialScan,
+        None | Some("auto") => tdm_serve::BackendChoice::Auto,
+        Some("gpu") => tdm_serve::BackendChoice::GpuPipeline,
         Some(other) => {
             return Err(wire::error_value(
                 codes::BAD_REQUEST,
-                format!("unknown backend {other:?}"),
+                format!("unknown backend {other:?} (expected \"auto\" or \"gpu\")"),
             ))
         }
     };

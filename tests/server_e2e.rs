@@ -2,8 +2,9 @@
 //! in-process serving layer guarantees must survive a real socket.
 //!
 //! * 16 concurrent TCP clients across 3 tenants, mixed workloads, configs,
-//!   and backends — every wire response **bit-identical** to a serial
-//!   `Miner::mine` of the same request, compared through the same encoder;
+//!   and both backend classes (`"auto"`, `"gpu"`) — every wire response
+//!   **bit-identical** to a serial `Miner::mine` of the same request,
+//!   compared through the same encoder;
 //! * same-database requests landing within the co-mine window **fuse over
 //!   the wire** (leader queued at a saturated gate, joiners in the waiting
 //!   room), proven via `"stats"`: `comining.batches`,
@@ -63,13 +64,7 @@ fn sixteen_concurrent_clients_across_three_tenants_are_bit_identical() {
     .unwrap();
     let addr = server.addr();
 
-    let backends = [
-        "sharded",
-        "mapreduce",
-        "activeset",
-        "sequential",
-        "serialscan",
-    ];
+    let backends = ["auto", "gpu"];
     let alphas = [0.01, 0.02, 0.05, 0.1];
     let cases: Vec<(EventDb, MinerConfig, &str, &str, &str)> = (0..16)
         .map(|i| {
@@ -125,6 +120,54 @@ fn sixteen_concurrent_clients_across_three_tenants_are_bit_identical() {
     let stats = server.service().stats();
     assert_eq!(stats.completed, 16);
     assert_eq!(stats.failed + stats.rejected + stats.cancelled, 0);
+    server.shutdown();
+}
+
+#[test]
+fn gpu_backend_over_the_wire_is_bit_identical_to_serial_mining() {
+    let server = Server::bind(ServerConfig {
+        handler_threads: 2,
+        service: temporal_mining::serve::ServiceConfig {
+            workers: 2,
+            ..Default::default()
+        },
+        tenants: tenant_configs(),
+        ..Default::default()
+    })
+    .unwrap();
+    let db = markov_letters(20_000, 7, 0.6);
+    let config = MinerConfig {
+        alpha: 0.002,
+        max_level: Some(3),
+        ..Default::default()
+    };
+    let mut client = Client::connect(server.addr()).unwrap();
+    let reply = client
+        .call(&mine_request(
+            "acme",
+            "key-a",
+            &letters(&db),
+            config.alpha,
+            config.max_level,
+            Some("gpu"),
+            None,
+            None,
+        ))
+        .unwrap();
+    assert_eq!(
+        reply.get("type").and_then(Value::as_str),
+        Some("mine_result"),
+        "unexpected reply: {}",
+        reply.encode()
+    );
+    assert_eq!(
+        reply.get("result").unwrap().encode(),
+        serial_result_json(&db, config)
+    );
+    let stats = server.service().stats();
+    assert_eq!(stats.completed, 1);
+    assert_eq!(stats.failed, 0);
+    drop(client);
     server.shutdown();
 }
 

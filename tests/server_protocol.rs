@@ -148,6 +148,67 @@ fn unknown_types_bad_keys_and_missing_fields_are_typed_errors() {
 }
 
 #[test]
+fn removed_backend_names_are_rejected_listing_the_accepted_ones() {
+    let server = test_server(1 << 16);
+    let mut client = Client::connect(server.addr()).unwrap();
+    // The single-strategy executors are references, not served choices.
+    for removed in [
+        "sharded",
+        "mapreduce",
+        "activeset",
+        "sequential",
+        "serialscan",
+    ] {
+        let reply = client
+            .call(&mine_request(
+                "acme",
+                "key-a",
+                "ABAB",
+                0.1,
+                Some(2),
+                Some(removed),
+                None,
+                None,
+            ))
+            .unwrap();
+        assert_eq!(
+            reply.get("code").and_then(Value::as_str),
+            Some("bad_request"),
+            "backend {removed}"
+        );
+        let message = reply.get("message").and_then(Value::as_str).unwrap();
+        assert!(message.contains("unknown backend"), "{message}");
+        assert!(
+            message.contains("\"auto\"") && message.contains("\"gpu\""),
+            "{message}"
+        );
+    }
+    // Both served names, and the absent field, still mine.
+    for backend in [Some("auto"), Some("gpu"), None] {
+        let reply = client
+            .call(&mine_request(
+                "acme",
+                "key-a",
+                "ABAB",
+                0.1,
+                Some(2),
+                backend,
+                None,
+                None,
+            ))
+            .unwrap();
+        assert_eq!(
+            reply.get("type").and_then(Value::as_str),
+            Some("mine_result"),
+            "backend {backend:?}"
+        );
+    }
+    drop(client);
+    assert_drains_to_idle(&server);
+    server.shutdown();
+}
+
+#[test]
 fn oversized_length_prefix_is_refused_with_a_typed_error_then_closed() {
     let server = test_server(4096);
     let mut client = Client::connect(server.addr()).unwrap();

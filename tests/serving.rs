@@ -2,7 +2,7 @@
 //! *observationally identical* to serial mining under any concurrency.
 //!
 //! * 16 concurrent clients over one shared pool, mixed workloads (Markov,
-//!   spike-train, market-basket) and mixed backends — every response
+//!   spike-train, market-basket) and both backend classes — every response
 //!   bit-identical to a serial `Miner::mine` of the same request;
 //! * session-cache hits skip session planning (snapshot, shard bounds, buffer
 //!   allocation): the compiled candidate buffers keep the **same address**
@@ -22,7 +22,8 @@
 //! * repeated bundles hit the co-session cache: the fused union scan's
 //!   compiled buffers keep the same address across batches, even when the
 //!   bundle's members arrive in a different order;
-//! * fused batches vote on the backend (majority wins, leader breaks ties);
+//! * fused batches vote on the backend class (majority wins, leader breaks
+//!   ties);
 //! * priority + admission-limit plumbing end to end.
 
 use std::sync::Arc;
@@ -83,12 +84,7 @@ fn sixteen_concurrent_clients_match_serial_mining_bit_for_bit() {
         max_in_flight: 16,
         ..Default::default()
     }));
-    let backends = [
-        BackendChoice::Sharded,
-        BackendChoice::MapReduce,
-        BackendChoice::ActiveSet,
-        BackendChoice::Sequential,
-    ];
+    let backends = [BackendChoice::Auto, BackendChoice::GpuPipeline];
     std::thread::scope(|s| {
         for client in 0..16usize {
             let service = Arc::clone(&service);
@@ -634,8 +630,9 @@ fn repeated_bundles_hit_the_co_session_cache_with_stable_buffers() {
 
 #[test]
 fn fused_batches_vote_on_the_backend() {
-    // Leader asks for Sharded, two joiners ask for MapReduce: the majority
-    // wins and the override is counted — results stay bit-identical anyway.
+    // Leader asks for the GPU pipeline, two joiners ask for the CPU engine:
+    // the majority class wins and the override is counted — results stay
+    // bit-identical anyway.
     let service = Arc::new(MiningService::new(ServiceConfig {
         workers: 2,
         max_in_flight: 4,
@@ -667,7 +664,7 @@ fn fused_batches_vote_on_the_backend() {
         let leader = {
             let service = Arc::clone(&service);
             let req =
-                MiningRequest::new(Arc::clone(&db), configs[0]).backend(BackendChoice::Sharded);
+                MiningRequest::new(Arc::clone(&db), configs[0]).backend(BackendChoice::GpuPipeline);
             s.spawn(move || service.submit(&req).unwrap())
         };
         while service.open_batches() == 0 {
@@ -677,8 +674,7 @@ fn fused_batches_vote_on_the_backend() {
             .iter()
             .map(|cfg| {
                 let service = Arc::clone(&service);
-                let req =
-                    MiningRequest::new(Arc::clone(&db), *cfg).backend(BackendChoice::MapReduce);
+                let req = MiningRequest::new(Arc::clone(&db), *cfg).backend(BackendChoice::Auto);
                 s.spawn(move || service.submit(&req).unwrap())
             })
             .collect();
@@ -692,6 +688,6 @@ fn fused_batches_vote_on_the_backend() {
     assert_eq!(stats.comining.fused_requests, 3);
     assert_eq!(
         stats.comining.backend_votes_overridden, 1,
-        "two MapReduce votes must outvote the Sharded leader"
+        "two CPU votes must outvote the GPU leader"
     );
 }

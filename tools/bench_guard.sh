@@ -37,6 +37,11 @@
 #     socket path: 16 concurrent TCP clients must not collapse below a
 #     fraction of 1-client throughput. The floor catches the handler pool
 #     serializing connections, not contention noise.
+#   * `served_auto_vs_sharded` < MIN_SERVED_AUTO — the served default: the
+#     same in-process requests through `MiningService::submit` (the
+#     cost-dispatched engine) must beat `submit_with` the compiled sharded
+#     scan. Falling under the floor means the service stopped serving on
+#     the engine.
 #   * `socket_vs_inprocess_overhead` > MAX_SOCKET_OVERHEAD — a ceiling, not
 #     a floor: the wire (framing + JSON + per-request database decode) may
 #     cost a multiple of in-process submission, but a blow-up past the cap
@@ -64,7 +69,7 @@ set -euo pipefail
 BENCH="${1:-BENCH_counting.json}"
 SERVE="${2:-}"
 GPU="${3:-}"
-# Committed baseline 0.7455 (results/BENCH_counting.json, 1-core container —
+# Committed baseline 0.9548 (results/BENCH_counting.json, 1-core container —
 # the sequential compiled scan is inherently a bit slower than the seed scan
 # at level 2; the new strategies, not sharding, are what beat it) less a
 # timing-noise allowance. Multi-core CI runners clear it with real speedup.
@@ -76,6 +81,10 @@ MIN_BEST="${MIN_BEST:-1.0}"
 MIN_COMINE="${MIN_COMINE:-1.2}"
 MIN_SATURATED="${MIN_SATURATED:-2.0}"
 MIN_INCREMENTAL="${MIN_INCREMENTAL:-2.0}"
+# Served-default floor: the engine beats the compiled sharded scan by several
+# times on the served workloads; 2.0 catches the default executor silently
+# falling back to a single-strategy scan, not timing noise.
+MIN_SERVED_AUTO="${MIN_SERVED_AUTO:-2.0}"
 # Socket-path guards: scaling floor well under the committed 1-core artifact
 # (16 clients on 1 core can only tie, not win), overhead ceiling well over
 # it (the wire should cost a small multiple, never orders of magnitude).
@@ -127,6 +136,7 @@ if [ -n "$SERVE" ]; then
     guard comine_vs_solo_scan_ratio "$(extract comine_vs_solo_scan_ratio "$SERVE")" "$MIN_COMINE"
     guard saturated_fuse_vs_serial "$(extract saturated_fuse_vs_serial "$SERVE")" "$MIN_SATURATED"
     guard incremental_vs_rescan_ratio "$(extract incremental_vs_rescan_ratio "$SERVE")" "$MIN_INCREMENTAL"
+    guard served_auto_vs_sharded "$(extract served_auto_vs_sharded "$SERVE")" "$MIN_SERVED_AUTO"
     guard socket_qps_16_clients_vs_1 "$(extract socket_qps_16_clients_vs_1 "$SERVE")" "$MIN_SOCKET_SCALING"
     guard_max socket_vs_inprocess_overhead "$(extract socket_vs_inprocess_overhead "$SERVE")" "$MAX_SOCKET_OVERHEAD"
 fi
