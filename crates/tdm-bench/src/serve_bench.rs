@@ -45,6 +45,8 @@
 //!   JSON: `socket_qps_16_clients_vs_1` (socket-path scaling, the network
 //!   twin of `qps_16_clients_vs_1`) and `socket_vs_inprocess_overhead`
 //!   (in-process QPS over socket QPS at 1 client — what the wire costs).
+//!   A third, `db_decode_msym_per_s`, times the wire's per-request database
+//!   decode ([`EventDb::from_str_symbols`]) alone over the same events text.
 //! * **served executor** ([`ServedExecutorPoint`]) — the same in-process
 //!   requests on the service's default executor and on the compiled sharded
 //!   scan through `submit_with`; the `served_auto_vs_sharded` headline
@@ -409,8 +411,32 @@ pub struct SocketBench {
     /// The overhead headline: in-process QPS over socket QPS at 1 client
     /// (> 1 = the wire costs; framing + JSON + per-request database decode).
     pub vs_inprocess_overhead: f64,
+    /// The per-request database decode alone: the best of 50 timed
+    /// [`EventDb::from_str_symbols`] calls over the events text every
+    /// request ships, in million symbols per second.
+    pub decode_msym_per_s: f64,
     /// Per-rung socket measurements.
     pub points: Vec<SocketPoint>,
+}
+
+/// Timed decodes behind [`SocketBench::decode_msym_per_s`].
+const DECODE_TRIALS: usize = 50;
+
+/// Best-of-[`DECODE_TRIALS`] throughput of [`EventDb::from_str_symbols`]
+/// over `letters`, in million symbols per second.
+fn decode_msym_per_s(letters: &str) -> f64 {
+    let alphabet = Alphabet::latin26();
+    let best = (0..DECODE_TRIALS)
+        .map(|_| {
+            let started = Instant::now();
+            let db = EventDb::from_str_symbols(&alphabet, letters).expect("latin26 letters");
+            let elapsed = started.elapsed();
+            std::hint::black_box(db);
+            elapsed
+        })
+        .min()
+        .unwrap_or_default();
+    letters.len() as f64 / best.as_secs_f64().max(1e-9) / 1e6
 }
 
 /// Runs the socket-path scenario (see [`SocketBench`]) on the Markov
@@ -546,6 +572,7 @@ fn run_socket(cfg: &ServeBenchConfig, db: &Arc<EventDb>) -> SocketBench {
         inprocess_qps_1,
         qps_16_clients_vs_1,
         vs_inprocess_overhead,
+        decode_msym_per_s: decode_msym_per_s(&letters),
         points,
     }
 }
@@ -669,6 +696,9 @@ pub struct ServeBench {
     /// The socket-path overhead headline: in-process QPS over socket QPS at
     /// 1 client ([`SocketBench::vs_inprocess_overhead`]).
     pub socket_vs_inprocess_overhead: f64,
+    /// The wire's database decode throughput, million symbols per second
+    /// ([`SocketBench::decode_msym_per_s`]).
+    pub db_decode_msym_per_s: f64,
     /// The served-executor headline: sharded-scan wall over default-executor
     /// wall for the same in-process requests ([`ServedExecutorPoint::ratio`]).
     pub served_auto_vs_sharded: f64,
@@ -1090,6 +1120,7 @@ pub fn run(cfg: &ServeBenchConfig) -> ServeBench {
         incremental_vs_rescan_ratio: streaming.ratio,
         socket_qps_16_clients_vs_1: socket.qps_16_clients_vs_1,
         socket_vs_inprocess_overhead: socket.vs_inprocess_overhead,
+        db_decode_msym_per_s: socket.decode_msym_per_s,
         served_auto_vs_sharded: served.ratio,
         points,
         comine,
@@ -1134,6 +1165,10 @@ impl ServeBench {
         s.push_str(&format!(
             "  \"socket_vs_inprocess_overhead\": {:.4},\n",
             self.socket_vs_inprocess_overhead
+        ));
+        s.push_str(&format!(
+            "  \"db_decode_msym_per_s\": {:.1},\n",
+            self.db_decode_msym_per_s
         ));
         s.push_str(&format!(
             "  \"served_auto_vs_sharded\": {:.4},\n",
@@ -1307,8 +1342,10 @@ impl ServeBench {
             ));
         }
         s.push_str(&format!(
-            " = {:.2}x overhead, {:.2}x 16-vs-1\n",
-            self.socket_vs_inprocess_overhead, self.socket_qps_16_clients_vs_1
+            " = {:.2}x overhead, {:.2}x 16-vs-1; db decode {:.0} Msym/s\n",
+            self.socket_vs_inprocess_overhead,
+            self.socket_qps_16_clients_vs_1,
+            self.db_decode_msym_per_s
         ));
         s.push_str(&format!(
             "  served executor ({} requests each): default {:.1} ms vs sharded scan {:.1} ms \
@@ -1401,6 +1438,8 @@ mod tests {
         assert!(b.socket.inprocess_qps_1 > 0.0);
         assert!(b.socket_vs_inprocess_overhead > 0.0);
         assert!(b.socket_vs_inprocess_overhead.is_finite());
+        assert!(b.db_decode_msym_per_s > 0.0);
+        assert!(b.db_decode_msym_per_s.is_finite());
         // No 16-client rung configured: degrades to 0, not NaN.
         assert_eq!(b.socket_qps_16_clients_vs_1, 0.0);
         // The served-executor scenario ran both sides on every workload
@@ -1429,6 +1468,7 @@ mod tests {
         assert!(j.contains("\"incremental_vs_rescan_ratio\""));
         assert!(j.contains("\"socket_qps_16_clients_vs_1\""));
         assert!(j.contains("\"socket_vs_inprocess_overhead\""));
+        assert!(j.contains("\"db_decode_msym_per_s\""));
         assert!(j.contains("\"served_auto_vs_sharded\""));
         assert!(j.contains("\"inprocess_qps_1\""));
         assert!(j.contains("\"rescan_wall_s\""));

@@ -108,6 +108,44 @@ impl Alphabet {
             .ok_or_else(|| CoreError::UnknownSymbol(name.to_string()))
     }
 
+    /// Decodes a string of single-character symbol names into symbol ids,
+    /// one id per character — the same result as calling
+    /// [`symbol`](Alphabet::symbol) on every character, at memory speed.
+    ///
+    /// A 256-entry byte table built from the single-ASCII-character names
+    /// (first index wins on duplicates) answers every ASCII byte: one pass
+    /// checks that every byte hits, then the ids are written straight out
+    /// (`Bytes` is `TrustedLen`, so collecting into an `Arc<[u8]>`
+    /// allocates once). Only input with a byte the table misses — an
+    /// unknown ASCII character, or any non-ASCII character — is walked by
+    /// character instead, resolving misses through
+    /// [`symbol`](Alphabet::symbol), which names the first offender.
+    pub(crate) fn decode_chars<B: FromIterator<u8>>(&self, s: &str) -> Result<B> {
+        const MISS: u16 = u16::MAX;
+        let mut table = [MISS; 256];
+        for (id, name) in self.names.iter().enumerate() {
+            if let &[b] = name.as_bytes() {
+                if table[b as usize] == MISS {
+                    table[b as usize] = id as u16;
+                }
+            }
+        }
+        // One branch-free pass checks every byte (ids fit in 8 bits, so the
+        // OR of all lookups exceeds 0xFF exactly when some byte missed), and
+        // a second writes the ids.
+        if s.bytes().fold(0, |seen, b| seen | table[b as usize]) <= 0xFF {
+            return Ok(s.bytes().map(|b| table[b as usize] as u8).collect());
+        }
+        // Bytes >= 0x80 are never in the table, so non-ASCII characters
+        // always fall through to the name lookup.
+        s.chars()
+            .map(|ch| match table.get(ch as usize) {
+                Some(&id) if id != MISS => Ok(id as u8),
+                _ => self.symbol(ch.encode_utf8(&mut [0; 4])).map(|sym| sym.0),
+            })
+            .collect()
+    }
+
     /// Validates that a raw id belongs to this alphabet.
     ///
     /// # Errors

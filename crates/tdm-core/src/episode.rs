@@ -47,11 +47,7 @@ impl Episode {
     /// # Errors
     /// [`CoreError::UnknownSymbol`] or [`CoreError::EmptyEpisode`].
     pub fn from_str(alphabet: &Alphabet, s: &str) -> Result<Self> {
-        let mut items = Vec::with_capacity(s.len());
-        for ch in s.chars() {
-            items.push(alphabet.symbol(&ch.to_string())?.0);
-        }
-        Episode::new(items)
+        Episode::new(alphabet.decode_chars(s)?)
     }
 
     /// The episode's items as raw symbol ids.

@@ -91,11 +91,13 @@ impl EventDb {
     /// # Errors
     /// [`CoreError::UnknownSymbol`] for characters outside the alphabet.
     pub fn from_str_symbols(alphabet: &Alphabet, s: &str) -> Result<Self> {
-        let mut symbols = Vec::with_capacity(s.len());
-        for ch in s.chars() {
-            symbols.push(alphabet.symbol(&ch.to_string())?.0);
-        }
-        EventDb::new(alphabet.clone(), symbols)
+        // Decoded ids are in range by construction: no second check, no copy.
+        Ok(EventDb {
+            alphabet: alphabet.clone(),
+            symbols: alphabet.decode_chars(s)?,
+            times: None,
+            epoch: 0,
+        })
     }
 
     /// The alphabet the events are drawn from.

@@ -184,6 +184,7 @@ impl std::error::Error for JsonError {}
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -197,6 +198,9 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 }
 
 struct Parser<'a> {
+    /// The input text; runs between ASCII delimiters are sliced from it
+    /// directly (such bounds are always char boundaries).
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -310,16 +314,14 @@ impl<'a> Parser<'a> {
         self.expect(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
+            // Fast path: a run of plain bytes, ended by an ASCII delimiter
+            // (or the end of input), copied as one slice of the source.
             let start = self.pos;
-            // Fast path: a run of plain bytes (the input is valid UTF-8 by
-            // construction — it arrived as &str).
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).expect("input is utf8"));
+            self.pos += self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -408,8 +410,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("input is utf8");
-        match text.parse::<f64>() {
+        match self.src[start..self.pos].parse::<f64>() {
             Ok(n) if n.is_finite() => Ok(Value::Number(n)),
             _ => Err(JsonError {
                 at: start,

@@ -310,7 +310,7 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
         match wire::read_frame(&mut stream, state.max_frame) {
             Ok(payload) => {
                 state.frames.fetch_add(1, Ordering::Relaxed);
-                let reply = dispatch_bytes(state, &payload);
+                let reply = dispatch_bytes(state, payload);
                 if wire::write_frame(&mut stream, reply.encode().as_bytes()).is_err() {
                     return;
                 }
@@ -342,22 +342,25 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
 
 /// Parses and serves one frame; infallible — every failure is a typed
 /// `"error"` value.
-fn dispatch_bytes(state: &ServerState, payload: &[u8]) -> Value {
-    let text = match std::str::from_utf8(payload) {
-        Ok(text) => text,
-        Err(_) => {
-            state.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return wire::error_value(codes::BAD_REQUEST, "frame is not UTF-8");
-        }
+///
+/// The frame is consumed: its bytes become the JSON text without a copy,
+/// and the text is freed as soon as it is parsed, so a large inline mine
+/// holds one copy of its events at a time (see [`serve_mine`]).
+fn dispatch_bytes(state: &ServerState, payload: Vec<u8>) -> Value {
+    let Ok(text) = String::from_utf8(payload) else {
+        state.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        return wire::error_value(codes::BAD_REQUEST, "frame is not UTF-8");
     };
-    let request = match json::parse(text) {
+    let parsed = json::parse(&text);
+    drop(text);
+    let mut request = match parsed {
         Ok(v) => v,
         Err(e) => {
             state.protocol_errors.fetch_add(1, Ordering::Relaxed);
             return wire::error_value(codes::BAD_REQUEST, e.to_string());
         }
     };
-    match dispatch(state, &request) {
+    match dispatch(state, &mut request) {
         Ok(reply) => reply,
         Err(reply) => {
             state.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -369,7 +372,7 @@ fn dispatch_bytes(state: &ServerState, payload: &[u8]) -> Value {
 /// `Err` carries protocol-level refusals (counted as protocol errors);
 /// `Ok` covers served requests *and* domain errors like overload or
 /// deadline, which are healthy protocol exchanges.
-fn dispatch(state: &ServerState, request: &Value) -> Result<Value, Value> {
+fn dispatch(state: &ServerState, request: &mut Value) -> Result<Value, Value> {
     let kind = request
         .get("type")
         .and_then(Value::as_str)
@@ -387,6 +390,9 @@ fn dispatch(state: &ServerState, request: &Value) -> Result<Value, Value> {
     if let Err(denial) = state.tenants.authenticate(tenant, api_key) {
         return Err(denial.to_value());
     }
+    // Owned, so `serve_mine` may strip the request's events while it holds
+    // the tenant's name.
+    let tenant = &tenant.to_owned();
 
     match kind {
         "mine" => serve_mine(state, tenant, request),
@@ -400,7 +406,7 @@ fn dispatch(state: &ServerState, request: &Value) -> Result<Value, Value> {
     }
 }
 
-fn serve_mine(state: &ServerState, tenant: &str, request: &Value) -> Result<Value, Value> {
+fn serve_mine(state: &ServerState, tenant: &str, request: &mut Value) -> Result<Value, Value> {
     // Quota before token bucket: a tenant at its quota is refused without
     // burning a rate-limit token (otherwise sustained quota pressure would
     // drain the bucket and rate-limit the client just as capacity frees
@@ -415,6 +421,10 @@ fn serve_mine(state: &ServerState, tenant: &str, request: &Value) -> Result<Valu
     }
 
     let db = Arc::new(request_db(state, request)?);
+    // The decoded db is now the only copy the mine needs; free the text.
+    if let Value::Object(pairs) = request {
+        pairs.retain(|(key, _)| key != "events");
+    }
     let config =
         wire::config_from(request).map_err(|msg| wire::error_value(codes::BAD_REQUEST, msg))?;
     let backend = match request.get("backend").and_then(Value::as_str) {
@@ -627,9 +637,9 @@ fn serve_ingest(state: &ServerState, tenant: &str, request: &Value) -> Result<Va
         .get("symbols")
         .and_then(Value::as_str)
         .ok_or_else(|| wire::error_value(codes::BAD_REQUEST, "missing \"symbols\""))?;
-    let symbols = letters_to_symbols(text)
-        .map_err(|c| wire::error_value(codes::BAD_REQUEST, format!("symbol {c:?} not in A–Z")))?;
-    match state.ingest.append(stream, &symbols) {
+    let batch = EventDb::from_str_symbols(&state.alphabet, text)
+        .map_err(|e| wire::error_value(codes::BAD_REQUEST, e.to_string()))?;
+    match state.ingest.append(stream, batch.symbols()) {
         Ok(AppendOutcome::Buffered { pending, deferred }) => Ok(Value::Object(vec![
             ("type".into(), Value::str("ingest")),
             ("outcome".into(), Value::str("buffered")),
@@ -668,17 +678,4 @@ fn ingest_error_value(e: &IngestError) -> Value {
         IngestError::Core(e) => wire::error_value(codes::BAD_REQUEST, e.to_string()),
         IngestError::Serve(e) => wire::serve_error_value(e),
     }
-}
-
-/// Maps `A`–`Z` letters to latin26 symbol ids.
-fn letters_to_symbols(text: &str) -> Result<Vec<u8>, char> {
-    text.chars()
-        .map(|c| {
-            if c.is_ascii_uppercase() {
-                Ok(c as u8 - b'A')
-            } else {
-                Err(c)
-            }
-        })
-        .collect()
 }

@@ -208,6 +208,72 @@ fn removed_backend_names_are_rejected_listing_the_accepted_ones() {
     server.shutdown();
 }
 
+/// Asserts a `bad_request` reply whose message names `symbol` the way the
+/// core decoder does (`unknown symbol "x"`).
+fn assert_unknown_symbol(reply: &Value, symbol: &str) {
+    assert_eq!(
+        reply.get("code").and_then(Value::as_str),
+        Some("bad_request"),
+        "{reply:?}"
+    );
+    let message = reply.get("message").and_then(Value::as_str).unwrap();
+    assert_eq!(message, format!("unknown symbol {symbol:?}"));
+}
+
+#[test]
+fn bad_event_letters_are_refused_at_every_decode_site() {
+    // The default frame cap leaves room for a 400k-letter inline mine.
+    let server = test_server(tdm_server::wire::MAX_FRAME);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let refusals_before = server.counters().protocol_errors;
+    let mine =
+        |events: &str| mine_request("acme", "key-a", events, 0.05, Some(1), None, None, None);
+
+    // A 400k-letter mine whose only bad letter is the last one.
+    let mut events: String = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+        .chars()
+        .cycle()
+        .take(399_999)
+        .collect();
+    events.push('q');
+    assert_unknown_symbol(&client.call(&mine(&events)).unwrap(), "q");
+    // The same connection then serves the valid stream.
+    events.pop();
+    events.push('Q');
+    let reply = client.call(&mine(&events)).unwrap();
+    assert_eq!(
+        reply.get("type").and_then(Value::as_str),
+        Some("mine_result"),
+        "{reply:?}"
+    );
+
+    // A non-ASCII letter.
+    assert_unknown_symbol(&client.call(&mine("ABÄB")).unwrap(), "Ä");
+
+    // Register's seed and ingest's symbols go through the same decoder.
+    let register = |seed: &str| {
+        format!(
+            r#"{{"type":"register","tenant":"acme","api_key":"key-a","stream":"s","seed":"{seed}"}}"#
+        )
+    };
+    assert_unknown_symbol(&client.call_bytes(register("ABé").as_bytes()).unwrap(), "é");
+    let reply = client.call_bytes(register("ABAB").as_bytes()).unwrap();
+    assert_eq!(
+        reply.get("type").and_then(Value::as_str),
+        Some("registered"),
+        "{reply:?}"
+    );
+    let ingest =
+        br#"{"type":"ingest","tenant":"acme","api_key":"key-a","stream":"s","symbols":"AB-A"}"#;
+    assert_unknown_symbol(&client.call_bytes(ingest).unwrap(), "-");
+
+    drop(client);
+    assert_drains_to_idle(&server);
+    assert_eq!(server.counters().protocol_errors - refusals_before, 4);
+    assert_still_serving(&server);
+    server.shutdown();
+}
+
 #[test]
 fn oversized_length_prefix_is_refused_with_a_typed_error_then_closed() {
     let server = test_server(4096);
