@@ -100,7 +100,7 @@ MIN_SOCKET_SCALING="${MIN_SOCKET_SCALING:-0.3}"
 MAX_SOCKET_OVERHEAD="${MAX_SOCKET_OVERHEAD:-40.0}"
 # Decode floor: an order of magnitude over the old per-character lookup and
 # an order under the byte-table decoder on a 2-core VM.
-MIN_DECODE_MSYM="${MIN_DECODE_MSYM:-100}"
+MIN_DECODE_MSYM=100
 # GPU floors are deterministic (simulated time): no noise allowance needed.
 MIN_GPU_FUSED="${MIN_GPU_FUSED:-1.2}"
 MIN_GPU_UNION="${MIN_GPU_UNION:-1.0}"
